@@ -265,25 +265,23 @@ impl DecisionTree {
         self.n_features
     }
 
-    /// The node arena as serializable specs (root is index 0).
-    pub fn export_nodes(&self) -> Vec<NodeSpec> {
-        self.nodes
-            .iter()
-            .map(|n| match *n {
-                Node::Leaf { prob } => NodeSpec::Leaf { prob },
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => NodeSpec::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                },
-            })
-            .collect()
+    /// The node arena as serializable specs (root is index 0), borrowed —
+    /// collect for [`Self::from_nodes`].
+    pub fn export_nodes(&self) -> impl ExactSizeIterator<Item = NodeSpec> + '_ {
+        self.nodes.iter().map(|n| match *n {
+            Node::Leaf { prob } => NodeSpec::Leaf { prob },
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } => NodeSpec::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            },
+        })
     }
 
     /// Rebuild a tree from exported nodes.
@@ -460,7 +458,7 @@ mod tests {
             .collect();
         let y: Vec<bool> = (0..40).map(|i| i >= 20).collect();
         let t = DecisionTree::fit(&x, &y, &TreeConfig::default(), &mut rng());
-        let rebuilt = DecisionTree::from_nodes(t.export_nodes(), t.n_features()).unwrap();
+        let rebuilt = DecisionTree::from_nodes(t.export_nodes().collect(), t.n_features()).unwrap();
         assert_eq!(rebuilt.n_nodes(), t.n_nodes());
         for xi in &x {
             assert_eq!(rebuilt.predict_proba(xi).to_bits(), t.predict_proba(xi).to_bits());

@@ -38,6 +38,14 @@ const MAX_ORIG_LEN: u32 = 1 << 18;
 const MAX_SEC_BEHIND: u32 = 7 * 86_400;
 /// ...or follow it by at most this many seconds.
 const MAX_SEC_AHEAD: u32 = 30 * 86_400;
+/// A resync candidate — a header found by scanning forward past an
+/// implausible one — and the header chained after it may precede their
+/// anchor by at most this many seconds. [`MAX_SEC_BEHIND`] is far too wide
+/// for a header found by scanning: for any anchor in the first 7 days after
+/// the epoch it admits `sec == 0`, so zero bytes inside a mangled record
+/// pass as a header. 60 s is twice the flow ingest's default skew gate, so
+/// a record further behind would be dropped downstream anyway.
+const MAX_RESYNC_SEC_BEHIND: u32 = 60;
 /// Recovery-buffer compaction threshold: once this many consumed bytes
 /// accumulate at the front of the buffer, they are dropped.
 const COMPACT_THRESHOLD: usize = 1 << 20;
@@ -346,18 +354,20 @@ impl<R: Read> PcapReader<R> {
             && h.orig <= MAX_ORIG_LEN
     }
 
-    /// Whether `sec` is within the accepted drift window of `anchor`.
-    fn sec_in_window(sec: u32, anchor: u32) -> bool {
-        sec >= anchor.saturating_sub(MAX_SEC_BEHIND) && sec <= anchor.saturating_add(MAX_SEC_AHEAD)
+    /// Whether `sec` is at most `behind` seconds before `anchor` and at most
+    /// [`MAX_SEC_AHEAD`] after it.
+    fn sec_in_window(sec: u32, anchor: u32, behind: u32) -> bool {
+        sec >= anchor.saturating_sub(behind) && sec <= anchor.saturating_add(MAX_SEC_AHEAD)
     }
 
-    /// Full plausibility: fields plus the timestamp window anchored on the
-    /// newest accepted record (no window before the first acceptance).
-    fn plausible(&self, h: &RecHeader) -> bool {
+    /// Full plausibility: fields plus the timestamp window (`behind`
+    /// seconds back) anchored on the newest accepted record (no window
+    /// before the first acceptance).
+    fn plausible(&self, h: &RecHeader, behind: u32) -> bool {
         Self::header_fields_plausible(h)
             && self
                 .last_sec
-                .is_none_or(|last| Self::sec_in_window(h.sec, last))
+                .is_none_or(|last| Self::sec_in_window(h.sec, last, behind))
     }
 
     /// Pull bytes from the underlying reader until the buffer holds at
@@ -377,7 +387,8 @@ impl<R: Read> PcapReader<R> {
 
     /// One-level chain validation for a resync candidate at offset `p`:
     /// the header *after* the candidate record must itself look plausible
-    /// (anchored on the candidate's timestamp), or the candidate must end
+    /// (anchored on the candidate's timestamp, with the resync window), or
+    /// the candidate must end
     /// at — or within a sub-header distance of — the end of the stream.
     fn chain_ok(&mut self, p: usize, h: &RecHeader) -> Result<bool> {
         let rec_end = p + 16 + h.incl as usize;
@@ -391,7 +402,8 @@ impl<R: Read> PcapReader<R> {
             return Ok(true);
         }
         let next = self.decode_header(&self.rbuf[rec_end..rec_end + 16]);
-        Ok(Self::header_fields_plausible(&next) && Self::sec_in_window(next.sec, h.sec))
+        Ok(Self::header_fields_plausible(&next)
+            && Self::sec_in_window(next.sec, h.sec, MAX_RESYNC_SEC_BEHIND))
     }
 
     /// Advance to the next recoverable record: fills `self.buf` with its
@@ -421,7 +433,7 @@ impl<R: Read> PcapReader<R> {
                 return Ok(None);
             }
             let h = self.decode_header(&self.rbuf[self.rpos..self.rpos + 16]);
-            if self.plausible(&h) {
+            if self.plausible(&h, MAX_SEC_BEHIND) {
                 let end = self.rpos + 16 + h.incl as usize;
                 self.fill_to(end)?;
                 if self.rbuf.len() < end {
@@ -461,7 +473,7 @@ impl<R: Read> PcapReader<R> {
                     return Ok(None);
                 }
                 let cand = self.decode_header(&self.rbuf[p..p + 16]);
-                if self.plausible(&cand) && self.chain_ok(p, &cand)? {
+                if self.plausible(&cand, MAX_RESYNC_SEC_BEHIND) && self.chain_ok(p, &cand)? {
                     self.report.resync_skipped_bytes += (p - self.rpos) as u64;
                     self.report.note(
                         IngestCategory::Resync,
@@ -650,6 +662,40 @@ mod tests {
         // The scan skipped the mangled header plus record 2's frame bytes.
         assert_eq!(rep.resync_skipped_bytes, 16 + 42);
         assert_eq!(rep.dropped_records(), 1);
+    }
+
+    #[test]
+    fn recovery_resync_near_epoch_skips_zero_bytes() {
+        // A capture 1272 s after the epoch: every frame ends in 8 zero
+        // bytes, and record 5's length field is mangled. Scanning forward,
+        // the 16 bytes starting 8 bytes before record 6's header read as
+        // {sec 0, usec 0, incl 1272, orig 200000}: plausible fields, and
+        // 1272 + 16 bytes on sits exactly on record 26's header, so the
+        // chain check passes too. Only the timestamp window can refuse it.
+        let recs: Vec<PcapRecord> = (0..40u8)
+            .map(|i| {
+                let mut data = vec![0xab; 40];
+                data[0] = i;
+                data.extend_from_slice(&[0; 8]);
+                PcapRecord { ts: 1272.2, data }
+            })
+            .collect();
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for r in &recs {
+            w.write_record(r).unwrap();
+        }
+        let mut buf = w.finish().unwrap();
+        let rec5_hdr = 24 + 5 * (16 + 48);
+        buf[rec5_hdr + 8..rec5_hdr + 12].copy_from_slice(&0x4000_0000u32.to_le_bytes());
+
+        let mut rd = PcapReader::new_recovering(Cursor::new(buf)).unwrap();
+        let out = rd.read_all().unwrap();
+        let mut expected = recs.clone();
+        expected.remove(5);
+        assert_eq!(out, expected, "resynced on a false header inside record 5");
+        let rep = rd.report();
+        assert_eq!((rep.bad_record_headers, rep.resyncs), (1, 1));
+        assert_eq!(rep.resync_skipped_bytes, 16 + 48);
     }
 
     #[test]

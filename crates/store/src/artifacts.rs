@@ -5,8 +5,15 @@
 //! byte-identical (pinned by the round-trip proptests), and every parse
 //! failure is a typed [`StoreError`] naming the artifact and line — a
 //! corrupted snapshot never panics and never half-loads.
+//!
+//! Each `render_*` is one traversal generic over a [`Sink`]. A `String`
+//! sink appends the artifact's text to a caller-owned buffer; an
+//! [`FxHasher`] sink folds the same fields (float bits, integers, string
+//! bytes, separators) into the model fingerprint the store's checkpoint
+//! memo compares. Text and fingerprint come from the same code, so they
+//! cannot drift apart.
 
-use crate::format::{escape, fmt_f64, parse_f64, unescape};
+use crate::format::{parse_f64, push_escaped, push_f64, unescape};
 use crate::StoreError;
 use behaviot::{
     HealthConfig, HealthExport, HealthState, MonitorConfig, MonitorState, PeriodicModel,
@@ -14,19 +21,130 @@ use behaviot::{
 };
 use behaviot_cluster::{DbscanModel, Standardizer};
 use behaviot_forest::{DecisionTree, NodeSpec, RandomForest};
-use behaviot_intern::{FxHashSet, Symbol};
+use behaviot_intern::{FxHashSet, FxHasher, Symbol};
 use behaviot_net::Proto;
 use std::collections::HashMap;
+use std::fmt::Write;
+use std::hash::Hasher;
 use std::net::Ipv4Addr;
 
 // ---------------------------------------------------------------------------
-// shared helpers
+// render sinks
 
-fn non_finite(artifact: &str) -> StoreError {
-    StoreError::NonFinite {
-        artifact: artifact.to_string(),
+/// A model held a NaN or infinity: it is already corrupt in memory and must
+/// not be persisted. The caller names the artifact
+/// ([`StoreError::NonFinite`]).
+pub(crate) struct NonFinite;
+
+/// Where a `render_*` traversal sends an artifact's fields. Every field is
+/// preceded by a separator (`""` for none).
+pub(crate) trait Sink {
+    /// Structural text: record tags, line ends, fixed labels.
+    fn lit(&mut self, s: &str);
+    /// `sep`, then an unsigned integer field.
+    fn uint(&mut self, sep: &str, v: u64);
+    /// `sep`, then a finite float field; NaN and infinities fail.
+    fn float(&mut self, sep: &str, v: f64) -> Result<(), NonFinite>;
+    /// `sep`, then a string field (percent-escaped in text).
+    fn text(&mut self, sep: &str, s: &str);
+    /// `sep`, then an IPv4 address field.
+    fn ip(&mut self, sep: &str, ip: Ipv4Addr);
+}
+
+impl Sink for String {
+    fn lit(&mut self, s: &str) {
+        self.push_str(s);
+    }
+    fn uint(&mut self, sep: &str, v: u64) {
+        let _ = write!(self, "{sep}{v}");
+    }
+    fn float(&mut self, sep: &str, v: f64) -> Result<(), NonFinite> {
+        self.push_str(sep);
+        push_f64(self, v).then_some(()).ok_or(NonFinite)
+    }
+    fn text(&mut self, sep: &str, s: &str) {
+        self.push_str(sep);
+        push_escaped(self, s);
+    }
+    fn ip(&mut self, sep: &str, ip: Ipv4Addr) {
+        let _ = write!(self, "{sep}{ip}");
     }
 }
+
+impl Sink for FxHasher {
+    fn lit(&mut self, s: &str) {
+        self.write(s.as_bytes());
+    }
+    fn uint(&mut self, sep: &str, v: u64) {
+        self.lit(sep);
+        self.write_u64(v);
+    }
+    fn float(&mut self, sep: &str, v: f64) -> Result<(), NonFinite> {
+        if !v.is_finite() {
+            return Err(NonFinite);
+        }
+        self.lit(sep);
+        self.write_u64(v.to_bits());
+        Ok(())
+    }
+    fn text(&mut self, sep: &str, s: &str) {
+        self.lit(sep);
+        // Length first: the raw bytes may contain separators.
+        self.write_usize(s.len());
+        self.write(s.as_bytes());
+    }
+    fn ip(&mut self, sep: &str, ip: Ipv4Addr) {
+        self.lit(sep);
+        self.write_u32(ip.to_bits());
+    }
+}
+
+/// Render `items` with `sep` between them: `each` gets the separator to
+/// put before its item (`""` for the first).
+fn join<S: Sink, T>(
+    out: &mut S,
+    items: impl IntoIterator<Item = T>,
+    sep: &str,
+    mut each: impl FnMut(&mut S, &str, T) -> Result<(), NonFinite>,
+) -> Result<(), NonFinite> {
+    for (i, item) in items.into_iter().enumerate() {
+        each(out, if i == 0 { "" } else { sep }, item)?;
+    }
+    Ok(())
+}
+
+/// `sep`-joined floats.
+fn floats<S: Sink>(out: &mut S, vals: &[f64], sep: &str) -> Result<(), NonFinite> {
+    join(out, vals, sep, |o, s, &v| o.float(s, v))
+}
+
+fn proto_label(p: Proto) -> &'static str {
+    match p {
+        Proto::Tcp => "TCP",
+        Proto::Udp => "UDP",
+    }
+}
+
+/// One device's models, as stored in its per-device artifact.
+pub(crate) enum DeviceModels<'a> {
+    /// `periodic@<device>`: models pre-sorted by destination/proto.
+    Periodic(&'a [&'a PeriodicModel]),
+    /// `user@<device>`: `(activity, forest)` pairs in classifier order.
+    User(&'a [(Symbol, RandomForest)]),
+}
+
+impl DeviceModels<'_> {
+    /// Render the artifact into `out` — its text, or its fingerprint.
+    pub(crate) fn render<S: Sink>(&self, out: &mut S) -> Result<(), NonFinite> {
+        match self {
+            DeviceModels::Periodic(models) => render_periodic_device(out, models),
+            DeviceModels::User(list) => render_user_device(out, list),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// shared parse helpers
 
 fn bad(artifact: &str, line: usize, reason: impl Into<String>) -> StoreError {
     StoreError::BadRecord {
@@ -34,11 +152,6 @@ fn bad(artifact: &str, line: usize, reason: impl Into<String>) -> StoreError {
         line,
         reason: reason.into(),
     }
-}
-
-/// Render a finite float or fail with [`StoreError::NonFinite`].
-fn ff(artifact: &str, v: f64) -> Result<String, StoreError> {
-    fmt_f64(v).ok_or_else(|| non_finite(artifact))
 }
 
 fn pf(artifact: &str, line: usize, s: &str, what: &str) -> Result<f64, StoreError> {
@@ -72,13 +185,6 @@ fn pproto(artifact: &str, line: usize, s: &str) -> Result<Proto, StoreError> {
     }
 }
 
-/// Comma-joined canonical floats (empty slice renders as the empty string).
-fn render_f64_list(artifact: &str, vals: &[f64]) -> Result<String, StoreError> {
-    let parts: Result<Vec<String>, StoreError> =
-        vals.iter().map(|&v| ff(artifact, v)).collect();
-    Ok(parts?.join(","))
-}
-
 fn parse_f64_list(
     artifact: &str,
     line: usize,
@@ -95,28 +201,27 @@ fn parse_f64_list(
 // periodic.cfg — training configuration + coverage
 
 /// Render the periodic training configuration plus coverage fraction.
-pub(crate) fn render_periodic_cfg(
-    artifact: &str,
+pub(crate) fn render_periodic_cfg<S: Sink>(
+    out: &mut S,
     cfg: &PeriodicTrainConfig,
     coverage: f64,
-) -> Result<String, StoreError> {
+) -> Result<(), NonFinite> {
     let d = &cfg.detector;
-    Ok(format!(
-        "train|{}|{}|{}|{}|{}\ndetector|{}|{}|{}|{}|{}|{}|{}\ncoverage|{}\n",
-        ff(artifact, cfg.timer_tolerance)?,
-        cfg.max_missed,
-        ff(artifact, cfg.dbscan_eps)?,
-        cfg.dbscan_min_pts,
-        cfg.dbscan_max_train,
-        d.min_events,
-        d.max_bins,
-        ff(artifact, d.power_sigma)?,
-        ff(artifact, d.acf_threshold)?,
-        d.max_candidates,
-        ff(artifact, d.merge_tolerance)?,
-        ff(artifact, d.min_cycles)?,
-        ff(artifact, coverage)?,
-    ))
+    out.float("train|", cfg.timer_tolerance)?;
+    out.uint("|", cfg.max_missed.into());
+    out.float("|", cfg.dbscan_eps)?;
+    out.uint("|", cfg.dbscan_min_pts as u64);
+    out.uint("|", cfg.dbscan_max_train as u64);
+    out.uint("\ndetector|", d.min_events as u64);
+    out.uint("|", d.max_bins as u64);
+    out.float("|", d.power_sigma)?;
+    out.float("|", d.acf_threshold)?;
+    out.uint("|", d.max_candidates as u64);
+    out.float("|", d.merge_tolerance)?;
+    out.float("|", d.min_cycles)?;
+    out.float("\ncoverage|", coverage)?;
+    out.lit("\n");
+    Ok(())
 }
 
 /// Parse [`render_periodic_cfg`]'s output.
@@ -163,38 +268,40 @@ pub(crate) fn parse_periodic_cfg(
 // periodic@<device> — one device's periodic models
 
 /// Render one device's periodic models (pre-sorted by destination/proto).
-pub(crate) fn render_periodic_device(
-    artifact: &str,
+pub(crate) fn render_periodic_device<S: Sink>(
+    out: &mut S,
     models: &[&PeriodicModel],
-) -> Result<String, StoreError> {
-    let mut out = String::new();
+) -> Result<(), NonFinite> {
     for m in models {
-        out.push_str(&format!(
-            "model|{}|{}|{}\n",
-            escape(m.destination.as_str()),
-            m.proto,
-            m.n_train
-        ));
-        let periods: Result<Vec<String>, StoreError> =
-            m.periods.iter().map(|&p| ff(artifact, p)).collect();
-        out.push_str(&format!("periods|{}\n", periods?.join("|")));
+        out.text("model|", m.destination.as_str());
+        out.lit("|");
+        out.lit(proto_label(m.proto));
+        out.uint("|", m.n_train as u64);
+        out.lit("\nperiods|");
+        floats(out, &m.periods, "|")?;
         let (means, stds) = m.standardizer().params();
-        out.push_str(&format!(
-            "std|{}|{}\n",
-            render_f64_list(artifact, means)?,
-            render_f64_list(artifact, stds)?
-        ));
+        out.lit("\nstd|");
+        floats(out, means, ",")?;
+        out.lit("|");
+        floats(out, stds, ",")?;
         let c = m.cluster();
-        out.push_str(&format!("cluster|{}|{}\n", ff(artifact, c.eps())?, c.dim()));
-        let offsets: Vec<String> = c.label_offsets().iter().map(ToString::to_string).collect();
-        out.push_str(&format!("offsets|{}\n", offsets.join("|")));
+        out.float("\ncluster|", c.eps())?;
+        out.uint("|", c.dim() as u64);
+        out.lit("\noffsets|");
+        join(out, c.label_offsets(), "|", |o, s, &v| {
+            o.uint(s, v as u64);
+            Ok(())
+        })?;
+        out.lit("\n");
         let dim = c.dim();
         for (i, &orig) in c.core_orig().iter().enumerate() {
-            let row = &c.cores()[i * dim..(i + 1) * dim];
-            out.push_str(&format!("core|{orig}|{}\n", render_f64_list(artifact, row)?));
+            out.uint("core|", orig.into());
+            out.lit("|");
+            floats(out, &c.cores()[i * dim..(i + 1) * dim], ",")?;
+            out.lit("\n");
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Accumulator for one in-flight `model|` group during device parsing.
@@ -344,8 +451,10 @@ pub(crate) fn parse_periodic_device(
 // user.cfg — classification threshold
 
 /// Render the user-action classification configuration.
-pub(crate) fn render_user_cfg(artifact: &str, confidence: f64) -> Result<String, StoreError> {
-    Ok(format!("confidence|{}\n", ff(artifact, confidence)?))
+pub(crate) fn render_user_cfg<S: Sink>(out: &mut S, confidence: f64) -> Result<(), NonFinite> {
+    out.float("confidence|", confidence)?;
+    out.lit("\n");
+    Ok(())
 }
 
 /// Parse [`render_user_cfg`]'s output.
@@ -364,16 +473,23 @@ pub(crate) fn parse_user_cfg(artifact: &str, content: &str) -> Result<f64, Store
 // ---------------------------------------------------------------------------
 // user@<device> — one device's per-activity forests
 
-fn render_node(artifact: &str, node: &NodeSpec) -> Result<String, StoreError> {
-    Ok(match *node {
-        NodeSpec::Leaf { prob } => format!("L:{}", ff(artifact, prob)?),
+fn render_node<S: Sink>(out: &mut S, sep: &str, node: NodeSpec) -> Result<(), NonFinite> {
+    out.lit(sep);
+    match node {
+        NodeSpec::Leaf { prob } => out.float("L:", prob),
         NodeSpec::Split {
             feature,
             threshold,
             left,
             right,
-        } => format!("S:{feature}:{}:{left}:{right}", ff(artifact, threshold)?),
-    })
+        } => {
+            out.uint("S:", feature as u64);
+            out.float(":", threshold)?;
+            out.uint(":", left as u64);
+            out.uint(":", right as u64);
+            Ok(())
+        }
+    }
 }
 
 fn parse_node(artifact: &str, line: usize, s: &str) -> Result<NodeSpec, StoreError> {
@@ -394,32 +510,26 @@ fn parse_node(artifact: &str, line: usize, s: &str) -> Result<NodeSpec, StoreErr
 
 /// Render one device's `(activity, forest)` list, preserving order (the
 /// classifier's first-wins tie-break makes order behavioral).
-pub(crate) fn render_user_device(
-    artifact: &str,
+pub(crate) fn render_user_device<S: Sink>(
+    out: &mut S,
     list: &[(Symbol, RandomForest)],
-) -> Result<String, StoreError> {
-    let mut out = String::new();
+) -> Result<(), NonFinite> {
     for (act, forest) in list {
-        let oob = match forest.oob_score() {
-            Some(s) => ff(artifact, s)?,
-            None => "-".to_string(),
-        };
-        out.push_str(&format!(
-            "activity|{}|{}|{}\n",
-            escape(act.as_str()),
-            forest.n_trees(),
-            oob
-        ));
+        out.text("activity|", act.as_str());
+        out.uint("|", forest.n_trees() as u64);
+        match forest.oob_score() {
+            Some(score) => out.float("|", score)?,
+            None => out.lit("|-"),
+        }
+        out.lit("\n");
         for tree in forest.trees() {
-            let nodes: Result<Vec<String>, StoreError> = tree
-                .export_nodes()
-                .iter()
-                .map(|n| render_node(artifact, n))
-                .collect();
-            out.push_str(&format!("tree|{}|{}\n", tree.n_features(), nodes?.join("|")));
+            out.uint("tree|", tree.n_features() as u64);
+            out.lit("|");
+            join(out, tree.export_nodes(), "|", render_node)?;
+            out.lit("\n");
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// One in-flight `activity|` group during device parsing.
@@ -510,14 +620,18 @@ pub(crate) fn parse_user_device(
 // names — device display names
 
 /// Render device display names, sorted by address.
-pub(crate) fn render_names(names: &HashMap<Ipv4Addr, String>) -> String {
+pub(crate) fn render_names<S: Sink>(
+    out: &mut S,
+    names: &HashMap<Ipv4Addr, String>,
+) -> Result<(), NonFinite> {
     let mut entries: Vec<(&Ipv4Addr, &String)> = names.iter().collect();
     entries.sort_by_key(|(ip, _)| **ip);
-    let mut out = String::new();
     for (ip, name) in entries {
-        out.push_str(&format!("name|{ip}|{}\n", escape(name)));
+        out.ip("name|", *ip);
+        out.text("|", name);
+        out.lit("\n");
     }
-    out
+    Ok(())
 }
 
 /// Parse [`render_names`]'s output.
@@ -551,20 +665,22 @@ pub(crate) fn parse_names(
 /// PFSM itself is *not* persisted: [`SystemModel::from_traces`] is
 /// deterministic, so config + traces rebuild it bit-identically, and the
 /// artifact stays human-readable.
-pub(crate) fn render_system(artifact: &str, model: &SystemModel) -> Result<String, StoreError> {
+pub(crate) fn render_system<S: Sink>(out: &mut S, model: &SystemModel) -> Result<(), NonFinite> {
     let cfg = model.config();
-    let mut out = format!(
-        "cfg|{}\npfsm|{}|{}|{}\n",
-        ff(artifact, cfg.trace_gap)?,
-        u8::from(cfg.pfsm.refine),
-        cfg.pfsm.max_splits,
-        ff(artifact, cfg.pfsm.smoothing_alpha)?,
-    );
+    out.float("cfg|", cfg.trace_gap)?;
+    out.uint("\npfsm|", cfg.pfsm.refine.into());
+    out.uint("|", cfg.pfsm.max_splits as u64);
+    out.float("|", cfg.pfsm.smoothing_alpha)?;
+    out.lit("\n");
     for trace in model.log.labeled_traces() {
-        let labels: Vec<String> = trace.iter().map(|l| escape(l)).collect();
-        out.push_str(&format!("trace|{}\n", labels.join("|")));
+        out.lit("trace|");
+        join(out, trace, "|", |o, s, label| {
+            o.text(s, label);
+            Ok(())
+        })?;
+        out.lit("\n");
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Parse [`render_system`]'s output and re-infer the model.
@@ -615,39 +731,37 @@ pub(crate) fn parse_system(artifact: &str, content: &str) -> Result<SystemModel,
 // monitor — streaming monitor configuration + cross-window state
 
 /// Render the monitor configuration and exported streaming state.
-pub(crate) fn render_monitor(
-    artifact: &str,
+pub(crate) fn render_monitor<S: Sink>(
+    out: &mut S,
     cfg: &MonitorConfig,
     state: &MonitorState,
-) -> Result<String, StoreError> {
-    let mut out = format!(
-        "cfg|{}|{}|{}|{}|{}|{}\n",
-        ff(artifact, cfg.periodic_threshold)?,
-        ff(artifact, cfg.short_sigma)?,
-        ff(artifact, cfg.long_confidence)?,
-        cfg.long_min_n,
-        ff(artifact, cfg.long_min_count_diff)?,
-        ff(artifact, cfg.trace_gap)?,
-    );
-    out.push_str(&format!("windows|{}\n", state.windows));
-    for ((ip, dest, proto), ts) in &state.last_seen {
-        out.push_str(&format!(
-            "timer|{ip}|{}|{proto}|{}\n",
-            escape(dest.as_str()),
-            ff(artifact, *ts)?
-        ));
+) -> Result<(), NonFinite> {
+    out.float("cfg|", cfg.periodic_threshold)?;
+    out.float("|", cfg.short_sigma)?;
+    out.float("|", cfg.long_confidence)?;
+    out.uint("|", cfg.long_min_n as u64);
+    out.float("|", cfg.long_min_count_diff)?;
+    out.float("|", cfg.trace_gap)?;
+    out.uint("\nwindows|", state.windows);
+    out.lit("\n");
+    for &((ip, dest, proto), ts) in &state.last_seen {
+        out.ip("timer|", ip);
+        out.text("|", dest.as_str());
+        out.lit("|");
+        out.lit(proto_label(proto));
+        out.float("|", ts)?;
+        out.lit("\n");
     }
-    for ip in &state.absence_flagged {
-        out.push_str(&format!("absent|{ip}\n"));
+    for &ip in &state.absence_flagged {
+        out.ip("absent|", ip);
+        out.lit("\n");
     }
     for (from, to) in &state.long_flagged {
-        out.push_str(&format!(
-            "long|{}|{}\n",
-            escape(from.as_str()),
-            escape(to.as_str())
-        ));
+        out.text("long|", from.as_str());
+        out.text("|", to.as_str());
+        out.lit("\n");
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Parse [`render_monitor`]'s output.
@@ -734,25 +848,21 @@ pub(crate) fn parse_monitor(
 
 /// Render the health registry export: the hysteresis config plus one
 /// `dev|` row per registered device, already in device-name order.
-pub(crate) fn render_health(
-    artifact: &str,
-    export: &HealthExport,
-) -> Result<String, StoreError> {
+pub(crate) fn render_health<S: Sink>(out: &mut S, export: &HealthExport) -> Result<(), NonFinite> {
     let c = &export.cfg;
-    let mut out = format!(
-        "cfg|{}|{}|{}\n",
-        ff(artifact, c.degrade_drop_frac)?,
-        c.recover_after,
-        c.stale_after,
-    );
+    out.float("cfg|", c.degrade_drop_frac)?;
+    out.uint("|", c.recover_after.into());
+    out.uint("|", c.stale_after.into());
+    out.lit("\n");
     for (device, state, clean_streak, silent_windows) in &export.records {
-        out.push_str(&format!(
-            "dev|{}|{}|{clean_streak}|{silent_windows}\n",
-            escape(device.as_str()),
-            state.label(),
-        ));
+        out.text("dev|", device.as_str());
+        out.lit("|");
+        out.lit(state.label());
+        out.uint("|", (*clean_streak).into());
+        out.uint("|", (*silent_windows).into());
+        out.lit("\n");
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Parse [`render_health`]'s output.
@@ -798,12 +908,12 @@ pub(crate) fn parse_health(artifact: &str, content: &str) -> Result<HealthExport
 // interner — process-global symbol table warm start
 
 /// Render the interner snapshot (id order).
-pub(crate) fn render_interner(strings: &[&str]) -> String {
-    let mut out = String::new();
+pub(crate) fn render_interner<S: Sink>(out: &mut S, strings: &[&str]) -> Result<(), NonFinite> {
     for s in strings {
-        out.push_str(&format!("sym|{}\n", escape(s)));
+        out.text("sym|", s);
+        out.lit("\n");
     }
-    out
+    Ok(())
 }
 
 /// Parse [`render_interner`]'s output, re-interning every string in order.

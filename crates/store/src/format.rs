@@ -3,28 +3,35 @@
 //! The store's files are pipe-separated text: human-diffable, line
 //! oriented, and byte-deterministic. Two primitives make that possible:
 //!
-//! * **Float canonicalization** — [`fmt_f64`] renders with Rust's
+//! * **Float canonicalization** — [`push_f64`] renders with Rust's
 //!   shortest-round-trip `{:?}` formatting, which is guaranteed to parse
 //!   back to the identical bit pattern (including `-0.0` and subnormals).
 //!   Save→load→save is therefore byte-stable, and restored models compute
 //!   bit-identical results. Non-finite values are rejected at both ends:
 //!   a model containing NaN/∞ is corrupt and must not round-trip silently.
-//! * **Percent escaping** — [`escape`] protects the bytes with structural
+//! * **Percent escaping** — [`push_escaped`] protects the bytes with structural
 //!   meaning (`|` field separator, `\n` record separator, `\r` — which
 //!   `str::lines` would silently strip before a `\n` — and `%` itself), so
 //!   arbitrary destination domains, device names, and activity labels
 //!   survive unchanged.
+//!
+//! Both append to a caller-owned `String`: an artifact renders into one
+//! buffer with no per-field allocation.
 
-/// Canonical text encoding of a finite `f64`. Returns `None` for NaN and
-/// infinities — non-finite values never enter a snapshot.
-pub fn fmt_f64(v: f64) -> Option<String> {
+use std::fmt::Write;
+
+/// Append the canonical text of a finite `f64` to `out`. Returns `false`,
+/// writing nothing, for NaN and infinities — non-finite values never enter
+/// a snapshot.
+pub fn push_f64(out: &mut String, v: f64) -> bool {
     if !v.is_finite() {
-        return None;
+        return false;
     }
-    Some(format!("{v:?}"))
+    let _ = write!(out, "{v:?}");
+    true
 }
 
-/// Parse a float previously written by [`fmt_f64`]. Returns `None` on
+/// Parse a float previously written by [`push_f64`]. Returns `None` on
 /// malformed input *or* a non-finite value (a corrupted file must not
 /// smuggle NaN into a model).
 pub fn parse_f64(s: &str) -> Option<f64> {
@@ -35,12 +42,12 @@ pub fn parse_f64(s: &str) -> Option<f64> {
     Some(v)
 }
 
-/// Escape `%`, `|`, `\n`, and `\r` so arbitrary strings can live in one
-/// pipe-separated field. `\r` must be escaped because all parsers split on
-/// `str::lines`, which strips a `\r` preceding each `\n` — unescaped, a
-/// string ending in `\r` would lose that byte on load.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Append `s` to `out` with `%`, `|`, `\n`, and `\r` escaped, so arbitrary
+/// strings can live in one pipe-separated field. `\r` must be escaped
+/// because all parsers split on `str::lines`, which strips a `\r` preceding
+/// each `\n` — unescaped, a string ending in `\r` would lose that byte on
+/// load.
+pub fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '%' => out.push_str("%25"),
@@ -50,10 +57,9 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Invert [`escape`]. Returns `None` on a malformed or unknown escape
+/// Invert [`push_escaped`]. Returns `None` on a malformed or unknown escape
 /// sequence.
 pub fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
@@ -95,7 +101,8 @@ mod tests {
             1.0 / 3.0,
             2.2250738585072014e-308,
         ] {
-            let s = fmt_f64(v).unwrap();
+            let mut s = String::new();
+            assert!(push_f64(&mut s, v));
             let back = parse_f64(&s).unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v:?} -> {s}");
         }
@@ -103,9 +110,11 @@ mod tests {
 
     #[test]
     fn non_finite_rejected_both_ways() {
-        assert!(fmt_f64(f64::NAN).is_none());
-        assert!(fmt_f64(f64::INFINITY).is_none());
-        assert!(fmt_f64(f64::NEG_INFINITY).is_none());
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut s = String::from("kept");
+            assert!(!push_f64(&mut s, v));
+            assert_eq!(s, "kept", "a rejected value must write nothing");
+        }
         assert!(parse_f64("NaN").is_none());
         assert!(parse_f64("inf").is_none());
         assert!(parse_f64("-inf").is_none());
@@ -119,7 +128,8 @@ mod tests {
             "", "plain", "a|b", "100%|done", "line\nbreak", "%7C", "%", "trailing\r",
             "crlf\r\nmid", "\r",
         ] {
-            let e = escape(s);
+            let mut e = String::new();
+            push_escaped(&mut e, s);
             assert!(!e.contains('|') && !e.contains('\n') && !e.contains('\r'));
             assert_eq!(unescape(&e).unwrap(), s);
         }

@@ -2,8 +2,8 @@
 //! every model the BehavIoT pipeline produces.
 //!
 //! A snapshot is a directory of small pipe-separated text artifacts plus a
-//! `MANIFEST` that pins the format version and, in v2, the byte length and
-//! FxHash64 content hash of every artifact. The store guarantees:
+//! `MANIFEST` that pins the format version and the byte length and FxHash64
+//! content hash of every artifact. The store guarantees:
 //!
 //! * **Atomicity** — artifact files are **content-addressed**
 //!   (`<stem>-<fxhash64>.<ext>`), so a save never overwrites a file the
@@ -15,23 +15,25 @@
 //!   Files from superseded snapshots are swept only after commit, and the
 //!   sweep touches nothing but the store's own naming scheme.
 //! * **Replay invariance** — floats use shortest-round-trip canonical text
-//!   ([`format::fmt_f64`]), collections are sorted before rendering, and
+//!   ([`format::push_f64`]), collections are sorted before rendering, and
 //!   the PFSM is re-inferred deterministically from its persisted training
 //!   traces. A restored [`behaviot::Monitor`] therefore continues the exact
 //!   deviation stream of the uninterrupted run (`tests/store_replay.rs`).
 //! * **Corruption detection, never panics** — any byte flip, insertion, or
 //!   truncation in any artifact surfaces as a typed [`StoreError`] whose
-//!   [`StoreError::artifact`] pinpoints the failing artifact (v2 manifests
-//!   store length + hash; parses are fully validated).
-//! * **O(changed-devices) checkpoints** — [`ModelStore::checkpoint`]
-//!   re-renders only the per-device artifacts whose device is in the
-//!   caller's changed set, reusing the previous manifest entries (and
-//!   on-disk files) for the rest.
-//!
-//! The store supersedes the ad-hoc TSV helpers in `behaviot::persist`
-//! (now deprecated): those covered only the periodic inventory and system
-//! traces, silently accepted duplicate records, and had no integrity
-//! metadata or atomicity story.
+//!   [`StoreError::artifact`] pinpoints the failing artifact (the manifest
+//!   stores length + hash; parses are fully validated).
+//! * **Checkpoints cost what changed** — [`ModelStore::checkpoint`] carries
+//!   over the previous manifest entries of devices outside the caller's
+//!   changed set. For a device in the set it first fingerprints the models
+//!   (the artifact's render traversal fed to an FxHasher instead of a
+//!   string). It skips the render and write when the fingerprint equals
+//!   the one this store instance recorded for that artifact, the committed
+//!   manifest still names the recorded file and hash, and that file, read
+//!   back, still hashes to it — so a changed device still heals a
+//!   corrupted file. The memo lives per [`ModelStore`] instance and holds
+//!   names and entries, never artifact bodies: a freshly opened store
+//!   renders every artifact once. Global artifacts are always rendered.
 
 #![warn(missing_docs)]
 
@@ -39,18 +41,21 @@ pub mod format;
 
 mod artifacts;
 
+use artifacts::{DeviceModels, NonFinite};
 use behaviot::{BehavIoT, HealthExport, Monitor, MonitorConfig, MonitorState, SystemModel};
 use behaviot_intern::{FxHashSet, FxHasher, Symbol};
-use std::collections::HashMap;
-use std::fmt;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::hash::Hasher;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
-/// Current snapshot format version. v1 lacked the per-artifact byte length
-/// and content hash in the manifest (same artifact encodings); v2 snapshots
-/// detect any single-byte corruption before parsing.
+/// Snapshot format version: the manifest pins every artifact's byte length
+/// and content hash, so any single-byte corruption is caught before
+/// parsing. Manifests of any other version are refused
+/// ([`StoreError::BadVersion`]).
 pub const FORMAT_VERSION: u32 = 2;
 
 const MANIFEST_FILE: &str = "MANIFEST";
@@ -84,7 +89,7 @@ pub enum StoreError {
         artifact: String,
     },
     /// An artifact's bytes disagree with the manifest's recorded length or
-    /// content hash (v2 only).
+    /// content hash.
     HashMismatch {
         /// The corrupted artifact.
         artifact: String,
@@ -161,6 +166,12 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+fn non_finite(artifact: &str) -> StoreError {
+    StoreError::NonFinite {
+        artifact: artifact.to_string(),
+    }
+}
+
 fn io_err(artifact: &str, e: std::io::Error) -> StoreError {
     StoreError::Io {
         artifact: artifact.to_string(),
@@ -209,8 +220,6 @@ impl<'a> SnapshotSpec<'a> {
 
 /// Everything a snapshot contained, reconstructed.
 pub struct LoadedSnapshot {
-    /// Manifest format version the snapshot was written with.
-    pub version: u32,
     /// The device behavior models.
     pub models: BehavIoT,
     /// The system model, if persisted.
@@ -242,6 +251,7 @@ impl LoadedSnapshot {
 }
 
 /// One artifact ready to hit the disk (or reused from the old manifest).
+#[derive(Clone, PartialEq)]
 struct Entry {
     name: String,
     file: String,
@@ -252,6 +262,10 @@ struct Entry {
 /// The snapshot directory handle.
 pub struct ModelStore {
     root: PathBuf,
+    /// Per-device artifact name → (model fingerprint, the entry this store
+    /// last rendered for it). Lets a checkpoint skip re-rendering a changed
+    /// device whose models did not actually change.
+    memo: Mutex<HashMap<String, (u64, Entry)>>,
 }
 
 fn hash_bytes(b: &[u8]) -> u64 {
@@ -334,7 +348,10 @@ impl ModelStore {
     pub fn open(root: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let root = root.into();
         fs::create_dir_all(&root).map_err(|e| io_err("<root>", e))?;
-        Ok(Self { root })
+        Ok(Self {
+            root,
+            memo: Mutex::new(HashMap::new()),
+        })
     }
 
     /// The snapshot directory.
@@ -342,90 +359,95 @@ impl ModelStore {
         &self.root
     }
 
-    /// Write a full v2 snapshot (every artifact re-rendered).
+    /// Write a full snapshot. Every artifact is rendered, except per-device
+    /// artifacts this store instance already wrote from identical models
+    /// (see [`Self::checkpoint`]).
     pub fn save(&self, spec: &SnapshotSpec<'_>) -> Result<(), StoreError> {
-        self.write_snapshot(spec, FORMAT_VERSION, None)
+        self.write_snapshot(spec, None)
     }
 
-    /// Write a full snapshot in the *previous* (v1) manifest format — no
-    /// per-artifact length/hash. Exists so the v1→v2 migration path stays
-    /// executable and regression-tested; new code should use
-    /// [`Self::save`].
-    pub fn save_v1(&self, spec: &SnapshotSpec<'_>) -> Result<(), StoreError> {
-        self.write_snapshot(spec, 1, None)
-    }
-
-    /// Incremental v2 snapshot: per-device artifacts whose device symbol
+    /// Incremental snapshot. Per-device artifacts whose device symbol
     /// (`Symbol::intern_ipv4`) is *not* in `changed` are carried over from
-    /// the previous manifest without being re-rendered, re-hashed, or
-    /// re-written — the save cost is O(changed devices + globals), not
-    /// O(fleet). Devices present in `changed` but absent from the spec are
-    /// dropped from the manifest. Global artifacts are always re-rendered.
+    /// the previous manifest without being rendered, hashed, or written.
+    /// A device in `changed` is fingerprinted first; its artifact is
+    /// rendered and written only when the fingerprint differs from the one
+    /// this store instance last recorded for it, or when the committed
+    /// manifest or the file on disk no longer matches the recorded entry.
+    /// Devices present in `changed` but absent from the spec are dropped
+    /// from the manifest. Global artifacts are always rendered.
     pub fn checkpoint(
         &self,
         spec: &SnapshotSpec<'_>,
         changed: &FxHashSet<Symbol>,
     ) -> Result<(), StoreError> {
-        self.write_snapshot(spec, FORMAT_VERSION, Some(changed))
+        self.write_snapshot(spec, Some(changed))
     }
 
     fn write_snapshot(
         &self,
         spec: &SnapshotSpec<'_>,
-        version: u32,
         changed: Option<&FxHashSet<Symbol>>,
     ) -> Result<(), StoreError> {
-        let mut span = behaviot_obs::span!("store.save", version = version);
+        let mut span = behaviot_obs::span!("store.save", version = FORMAT_VERSION);
         let m = behaviot_obs::metrics();
         m.counter("store.saves").inc();
+        // A memo entry is only trusted after the committed manifest and the
+        // file on disk confirm it, so a memo left behind by a panicked save
+        // is still safe to use.
+        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
 
-        // Previous manifest entries, reusable only for v2→v2 checkpoints.
-        let old: HashMap<String, Entry> = match changed {
-            Some(_) => self
-                .read_manifest_entries()
-                .ok()
-                .filter(|(v, _)| *v == FORMAT_VERSION)
-                .map(|(_, entries)| entries.into_iter().map(|e| (e.name.clone(), e)).collect())
-                .unwrap_or_default(),
-            None => HashMap::new(),
-        };
+        // The committed manifest's entries: carried over for unchanged
+        // devices, and the reference a memo hit must still match.
+        let committed: HashMap<String, Entry> = self
+            .read_manifest_entries()
+            .map(|entries| entries.into_iter().map(|e| (e.name.clone(), e)).collect())
+            .unwrap_or_default();
         let reusable = |device: Ipv4Addr, name: &str| -> Option<&Entry> {
             let changed = changed?;
             if changed.contains(&Symbol::intern_ipv4(device)) {
                 return None;
             }
-            old.get(name)
+            committed.get(name)
         };
 
         let mut entries: Vec<Entry> = Vec::new();
         let mut written = 0u64;
         let mut reused = 0u64;
+        // One render buffer for every artifact of this save.
+        let mut buf = String::new();
 
-        // -- global artifacts (always re-rendered) -----------------------
+        // -- global artifacts (always rendered) --------------------------
         let models = spec.models;
-        let pc = artifacts::render_periodic_cfg(
-            "periodic.cfg",
-            models.periodic.config(),
-            models.periodic.train_coverage,
-        )?;
-        entries.push(self.put("periodic.cfg", &pc)?);
-        let uc = artifacts::render_user_cfg("user.cfg", models.user.confidence_threshold())?;
-        entries.push(self.put("user.cfg", &uc)?);
-        entries.push(self.put("names", &artifacts::render_names(&models.names))?);
+        entries.push(self.render("periodic.cfg", &mut buf, |out| {
+            artifacts::render_periodic_cfg(
+                out,
+                models.periodic.config(),
+                models.periodic.train_coverage,
+            )
+        })?);
+        entries.push(self.render("user.cfg", &mut buf, |out| {
+            artifacts::render_user_cfg(out, models.user.confidence_threshold())
+        })?);
+        entries.push(self.render("names", &mut buf, |out| {
+            artifacts::render_names(out, &models.names)
+        })?);
         written += 3;
         if let Some(system) = spec.system {
-            let body = artifacts::render_system("system", system)?;
-            entries.push(self.put("system", &body)?);
+            entries.push(self.render("system", &mut buf, |out| {
+                artifacts::render_system(out, system)
+            })?);
             written += 1;
         }
         if let Some((cfg, state)) = &spec.monitor {
-            let body = artifacts::render_monitor("monitor", cfg, state)?;
-            entries.push(self.put("monitor", &body)?);
+            entries.push(self.render("monitor", &mut buf, |out| {
+                artifacts::render_monitor(out, cfg, state)
+            })?);
             written += 1;
         }
         if let Some(health) = &spec.health {
-            let body = artifacts::render_health("health", health)?;
-            entries.push(self.put("health", &body)?);
+            entries.push(self.render("health", &mut buf, |out| {
+                artifacts::render_health(out, health)
+            })?);
             written += 1;
         }
         if let Some(metrics_text) = spec.metrics_jsonl {
@@ -434,39 +456,50 @@ impl ModelStore {
         }
         if spec.include_interner {
             let strings = behaviot_intern::export_global();
-            let body = artifacts::render_interner(&strings);
-            entries.push(self.put("interner", &body)?);
+            entries.push(self.render("interner", &mut buf, |out| {
+                artifacts::render_interner(out, &strings)
+            })?);
             written += 1;
         }
 
         // -- per-device artifacts (reused when unchanged) ----------------
-        let mut periodic_by_dev: std::collections::BTreeMap<Ipv4Addr, Vec<&behaviot::PeriodicModel>> =
-            std::collections::BTreeMap::new();
+        let mut periodic_by_dev: BTreeMap<Ipv4Addr, Vec<&behaviot::PeriodicModel>> =
+            BTreeMap::new();
         for pm in models.periodic.iter() {
             periodic_by_dev.entry(pm.device).or_default().push(pm);
         }
-        for (device, mut dev_models) in periodic_by_dev {
+        let mut device_artifacts: Vec<(String, Ipv4Addr, DeviceModels<'_>)> = Vec::new();
+        for (device, dev_models) in &mut periodic_by_dev {
             dev_models.sort_by_key(|pm| (pm.destination, pm.proto));
-            let name = format!("periodic@{device}");
-            if let Some(e) = reusable(device, &name) {
-                entries.push(Entry::clone_of(e));
-                reused += 1;
-                continue;
-            }
-            let body = artifacts::render_periodic_device(&name, &dev_models)?;
-            let e = self.put(&name, &body)?;
-            entries.push(e);
-            written += 1;
+            device_artifacts.push((
+                format!("periodic@{device}"),
+                *device,
+                DeviceModels::Periodic(dev_models),
+            ));
         }
         for (device, list) in models.user.device_models() {
-            let name = format!("user@{device}");
+            device_artifacts.push((format!("user@{device}"), device, DeviceModels::User(list)));
+        }
+        for (name, device, dev_models) in device_artifacts {
             if let Some(e) = reusable(device, &name) {
-                entries.push(Entry::clone_of(e));
+                entries.push(e.clone());
                 reused += 1;
                 continue;
             }
-            let body = artifacts::render_user_device(&name, list)?;
-            let e = self.put(&name, &body)?;
+            let mut h = FxHasher::default();
+            dev_models
+                .render(&mut h)
+                .map_err(|NonFinite| non_finite(&name))?;
+            let fingerprint = h.finish();
+            if let Some((fp, e)) = memo.get(&name) {
+                if *fp == fingerprint && committed.get(&name) == Some(e) && self.verify(e) {
+                    entries.push(e.clone());
+                    reused += 1;
+                    continue;
+                }
+            }
+            let e = self.render(&name, &mut buf, |out| dev_models.render(out))?;
+            memo.insert(name, (fingerprint, e.clone()));
             entries.push(e);
             written += 1;
         }
@@ -477,24 +510,20 @@ impl ModelStore {
         // artifact rename that the manifest now depends on.
         self.sync_dir().map_err(|e| io_err("<root>", e))?;
         entries.sort_by(|a, b| a.name.cmp(&b.name));
-        let mut manifest = format!("{MANIFEST_MAGIC}|v{version}\n");
+        let mut manifest = format!("{MANIFEST_MAGIC}|v{FORMAT_VERSION}\n");
         for e in &entries {
-            if version >= 2 {
-                manifest.push_str(&format!(
-                    "artifact|{}|{}|{:016x}|{}\n",
-                    e.name, e.file, e.hash, e.bytes
-                ));
-            } else {
-                manifest.push_str(&format!("artifact|{}|{}\n", e.name, e.file));
-            }
+            let _ = writeln!(
+                manifest,
+                "artifact|{}|{}|{:016x}|{}",
+                e.name, e.file, e.hash, e.bytes
+            );
         }
-        // v2: the manifest protects the artifacts, and this line protects
-        // the manifest — without it a byte flip inside an artifact *name*
-        // (say, one digit of a device address) could redirect a hash check
-        // at intact bytes and load the wrong model silently.
-        if version >= 2 {
-            manifest.push_str(&format!("check|{:016x}\n", hash_bytes(manifest.as_bytes())));
-        }
+        // The manifest protects the artifacts, and this line protects the
+        // manifest — without it a byte flip inside an artifact *name* (say,
+        // one digit of a device address) could redirect a hash check at
+        // intact bytes and load the wrong model silently.
+        let check = hash_bytes(manifest.as_bytes());
+        let _ = writeln!(manifest, "check|{check:016x}");
         self.write_atomic(MANIFEST_FILE, manifest.as_bytes())
             .map_err(|e| io_err(MANIFEST_FILE, e))?;
         self.sync_dir().map_err(|e| io_err("<root>", e))?;
@@ -504,12 +533,37 @@ impl ModelStore {
         // content-addressed file). Strictly after commit, and failure is
         // not an error: the manifest already excludes them.
         self.sweep_orphans(&entries);
+        // Forget devices that left the snapshot.
+        memo.retain(|name, _| {
+            entries
+                .binary_search_by(|e| e.name.as_str().cmp(name))
+                .is_ok()
+        });
 
         m.counter("store.artifacts_written").add(written);
         m.counter("store.artifacts_reused").add(reused);
         span.record("written", written as usize);
         span.record("reused", reused as usize);
         Ok(())
+    }
+
+    /// Render one artifact into `buf` (cleared first) and stage it.
+    fn render(
+        &self,
+        name: &str,
+        buf: &mut String,
+        encode: impl FnOnce(&mut String) -> Result<(), NonFinite>,
+    ) -> Result<Entry, StoreError> {
+        buf.clear();
+        encode(buf).map_err(|NonFinite| non_finite(name))?;
+        self.put(name, buf)
+    }
+
+    /// Whether `e`'s file on disk still has exactly the recorded length and
+    /// content hash.
+    fn verify(&self, e: &Entry) -> bool {
+        fs::read(self.root.join(&e.file))
+            .is_ok_and(|raw| raw.len() as u64 == e.bytes && hash_bytes(&raw) == e.hash)
     }
 
     /// Stage one artifact under its content-addressed file name, returning
@@ -569,7 +623,9 @@ impl ModelStore {
         };
         for d in dir.flatten() {
             let fname = d.file_name();
-            let Some(fname) = fname.to_str() else { continue };
+            let Some(fname) = fname.to_str() else {
+                continue;
+            };
             if fname == MANIFEST_FILE || referenced.contains(fname) {
                 continue;
             }
@@ -581,9 +637,8 @@ impl ModelStore {
         }
     }
 
-    /// Parse the manifest into (version, entries). v1 entries carry zeroed
-    /// hash/length (integrity checking is skipped for them on load).
-    fn read_manifest_entries(&self) -> Result<(u32, Vec<Entry>), StoreError> {
+    /// Parse and integrity-check the manifest into its entries.
+    fn read_manifest_entries(&self) -> Result<Vec<Entry>, StoreError> {
         let raw = fs::read_to_string(self.root.join(MANIFEST_FILE))
             .map_err(|e| io_err(MANIFEST_FILE, e))?;
         let Some(header) = raw.lines().next() else {
@@ -592,7 +647,7 @@ impl ModelStore {
                 reason: "empty manifest".to_string(),
             });
         };
-        let version = match header.split_once('|') {
+        match header.split_once('|') {
             Some((MANIFEST_MAGIC, v)) => {
                 let n: u32 = v
                     .strip_prefix('v')
@@ -601,10 +656,9 @@ impl ModelStore {
                         line: 1,
                         reason: "bad version field".to_string(),
                     })?;
-                if n == 0 || n > FORMAT_VERSION {
+                if n != FORMAT_VERSION {
                     return Err(StoreError::BadVersion(n));
                 }
-                n
             }
             _ => {
                 return Err(StoreError::BadManifest {
@@ -612,42 +666,36 @@ impl ModelStore {
                     reason: "bad magic".to_string(),
                 })
             }
-        };
-        // v2 manifests end with a `check|<hash>` line over everything
+        }
+        // The manifest ends with a `check|<hash>` line over everything
         // before it: the artifact hashes protect the artifact bytes, this
         // protects the manifest itself (artifact names included).
-        let body: &str = if version >= 2 {
-            let n_lines = raw.lines().count();
-            let bad_check = || StoreError::BadManifest {
-                line: n_lines,
-                reason: "missing or malformed integrity check line".to_string(),
-            };
-            let trimmed = raw.strip_suffix('\n').unwrap_or(&raw);
-            let (prefix, last) = trimmed
-                .rfind('\n')
-                .map(|p| (&raw[..p + 1], &trimmed[p + 1..]))
-                .ok_or_else(bad_check)?;
-            let expect = last
-                .strip_prefix("check|")
-                .and_then(|h| u64::from_str_radix(h, 16).ok())
-                .ok_or_else(bad_check)?;
-            if hash_bytes(prefix.as_bytes()) != expect {
-                return Err(StoreError::BadManifest {
-                    line: n_lines,
-                    reason: "manifest failed its integrity check".to_string(),
-                });
-            }
-            prefix
-        } else {
-            &raw
+        let n_lines = raw.lines().count();
+        let bad_check = || StoreError::BadManifest {
+            line: n_lines,
+            reason: "missing or malformed integrity check line".to_string(),
         };
+        let trimmed = raw.strip_suffix('\n').unwrap_or(&raw);
+        let (body, last) = trimmed
+            .rfind('\n')
+            .map(|p| (&raw[..p + 1], &trimmed[p + 1..]))
+            .ok_or_else(bad_check)?;
+        let expect = last
+            .strip_prefix("check|")
+            .and_then(|h| u64::from_str_radix(h, 16).ok())
+            .ok_or_else(bad_check)?;
+        if hash_bytes(body.as_bytes()) != expect {
+            return Err(StoreError::BadManifest {
+                line: n_lines,
+                reason: "manifest failed its integrity check".to_string(),
+            });
+        }
         let mut entries = Vec::new();
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
         for (i, line) in body.lines().enumerate().skip(1) {
             let ln = i + 1;
             let fields: Vec<&str> = line.split('|').collect();
-            let want = if version >= 2 { 5 } else { 3 };
-            if fields.len() != want || fields[0] != "artifact" {
+            if fields.len() != 5 || fields[0] != "artifact" {
                 return Err(StoreError::BadManifest {
                     line: ln,
                     reason: "bad artifact line".to_string(),
@@ -667,8 +715,8 @@ impl ModelStore {
                 });
             }
             // The file field must be a plain name inside the store root —
-            // a mangled (v1: unchecked) manifest must not be able to read
-            // files elsewhere on disk or shadow the manifest itself.
+            // a mangled manifest must not be able to read files elsewhere
+            // on disk or shadow the manifest itself.
             let file = fields[2];
             if file.is_empty()
                 || file == MANIFEST_FILE
@@ -681,32 +729,22 @@ impl ModelStore {
                     reason: format!("bad artifact file name {file}"),
                 });
             }
-            let (hash, bytes) = if version >= 2 {
-                let hash = u64::from_str_radix(fields[3], 16).map_err(|_| {
-                    StoreError::BadManifest {
-                        line: ln,
-                        reason: "bad content hash".to_string(),
-                    }
-                })?;
-                let bytes: u64 =
-                    fields[4]
-                        .parse()
-                        .map_err(|_| StoreError::BadManifest {
-                            line: ln,
-                            reason: "bad byte count".to_string(),
-                        })?;
-                (hash, bytes)
-            } else {
-                (0, 0)
-            };
+            let hash = u64::from_str_radix(fields[3], 16).map_err(|_| StoreError::BadManifest {
+                line: ln,
+                reason: "bad content hash".to_string(),
+            })?;
+            let bytes: u64 = fields[4].parse().map_err(|_| StoreError::BadManifest {
+                line: ln,
+                reason: "bad byte count".to_string(),
+            })?;
             entries.push(Entry {
                 name,
-                file: fields[2].to_string(),
+                file: file.to_string(),
                 hash,
                 bytes,
             });
         }
-        Ok((version, entries))
+        Ok(entries)
     }
 
     /// Load and validate the snapshot. Every failure mode — missing files,
@@ -715,8 +753,7 @@ impl ModelStore {
     pub fn load(&self) -> Result<LoadedSnapshot, StoreError> {
         let mut span = behaviot_obs::span!("store.load");
         behaviot_obs::metrics().counter("store.loads").inc();
-        let (version, entries) = self.read_manifest_entries()?;
-        span.record("version", version as usize);
+        let entries = self.read_manifest_entries()?;
         span.record("artifacts", entries.len());
 
         // Read + integrity-check every artifact up front: a load either
@@ -724,7 +761,7 @@ impl ModelStore {
         let mut contents: HashMap<String, String> = HashMap::new();
         for e in &entries {
             let raw = fs::read(self.root.join(&e.file)).map_err(|err| io_err(&e.name, err))?;
-            if version >= 2 && (raw.len() as u64 != e.bytes || hash_bytes(&raw) != e.hash) {
+            if raw.len() as u64 != e.bytes || hash_bytes(&raw) != e.hash {
                 return Err(StoreError::HashMismatch {
                     artifact: e.name.clone(),
                 });
@@ -777,12 +814,13 @@ impl ModelStore {
                 artifact: format!("periodic@{device}"),
                 key: format!("{dest}|{proto}"),
             })?;
-        let user = behaviot::UserActionModels::from_parts(user_models, confidence).map_err(
-            |device| StoreError::Duplicate {
-                artifact: format!("user@{device}"),
-                key: device.to_string(),
-            },
-        )?;
+        let user =
+            behaviot::UserActionModels::from_parts(user_models, confidence).map_err(|device| {
+                StoreError::Duplicate {
+                    artifact: format!("user@{device}"),
+                    key: device.to_string(),
+                }
+            })?;
 
         let system = match contents.get("system") {
             Some(body) => Some(artifacts::parse_system("system", body)?),
@@ -801,7 +839,6 @@ impl ModelStore {
         };
 
         Ok(LoadedSnapshot {
-            version,
             models: BehavIoT {
                 periodic,
                 user,
@@ -813,16 +850,5 @@ impl ModelStore {
             health,
             metrics_jsonl: contents.remove("metrics"),
         })
-    }
-}
-
-impl Entry {
-    fn clone_of(e: &Entry) -> Entry {
-        Entry {
-            name: e.name.clone(),
-            file: e.file.clone(),
-            hash: e.hash,
-            bytes: e.bytes,
-        }
     }
 }

@@ -53,9 +53,11 @@ bench-monitor:
     scripts/bench_monitor.sh
 
 # Durable-store contract suite: kill-and-restore replay invariance, byte
-# fixed point, v1 migration, plus the round-trip and corruption proptests
+# fixed point, v1 refusal, checkpoint memo, the golden MANIFEST byte-format
+# gate, plus the round-trip and corruption proptests
 store-replay:
     cargo test --release -q -p behaviot-harness --test store_replay
+    cargo test --release -q -p behaviot-harness --test store_golden
     cargo test --release -q -p behaviot-store --test roundtrip_proptests
     cargo test --release -q -p behaviot-store --test corruption_proptests
 
@@ -76,3 +78,8 @@ ledger-determinism:
 # Tier-1 gate only
 test:
     cargo build --release && cargo test -q
+
+# Pipeline benchmark (BENCHMARK.json), one traced run: end-to-end metrics
+# plus the per-layer self-time budget
+perf workload="serve-daily":
+    python3 perfbench/run.py --workload {{workload}} --seed 1 --seconds 20 --trace 1

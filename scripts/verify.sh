@@ -38,8 +38,11 @@ cargo test --release -q -p behaviot --test monitor_alloc
 echo "==> monitor parity: symbol-native serving path matches the String pipeline byte-for-byte"
 cargo test --release -q -p behaviot-harness --test monitor_parity
 
-echo "==> store: replay-invariant contract suite (kill/restore, fixed point, v1 migration)"
+echo "==> store: replay-invariant contract suite (kill/restore, fixed point, v1 refusal, checkpoint memo)"
 cargo test --release -q -p behaviot-harness --test store_replay
+
+echo "==> store: byte format pinned by the golden MANIFEST of a quick-scale snapshot"
+cargo test --release -q -p behaviot-harness --test store_golden
 
 echo "==> store: corrupt-load smoke (byte-flip/insert/truncate proptests never panic)"
 cargo test --release -q -p behaviot-store --test corruption_proptests

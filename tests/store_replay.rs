@@ -15,13 +15,17 @@
 //!   previously committed snapshot loadable and byte-identical (artifact
 //!   files are content-addressed; the manifest rename is the sole commit
 //!   point),
-//! * a v1 (previous format) snapshot migrates losslessly to v2,
+//! * a v1 manifest (the retired format without per-artifact hashes) is
+//!   refused with a typed error,
 //! * `checkpoint` genuinely skips unchanged devices (proved behaviorally:
 //!   corrupt an unchanged device's file on disk, checkpoint, and the stale
-//!   bytes — and stale manifest hash — are still there).
+//!   bytes — and stale manifest hash — are still there),
+//! * the checkpoint memo: a device in the changed set whose models did not
+//!   change costs no render or write, a device whose models did change is
+//!   re-rendered and loads back as the new model.
 
 use behaviot::{BehavIoT, Deviation, Monitor, MonitorConfig, SystemModel, SystemModelConfig};
-use behaviot::{TrainConfig, TrainingData};
+use behaviot::{PeriodicModel, PeriodicModelSet, TrainConfig, TrainingData};
 use behaviot_flows::{FlowRecord, N_FEATURES};
 use behaviot_intern::{FxHashSet, Symbol};
 use behaviot_net::Proto;
@@ -31,6 +35,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
 const DEV: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
 const DEV_B: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 11);
@@ -361,54 +366,30 @@ fn mid_save_kill_leaves_previous_snapshot_loadable() {
     }
 }
 
-/// A previous-format (v1, no per-artifact hashes) snapshot loads, reports
-/// its version, and migrates losslessly: the migrated v2 snapshot drives
-/// the exact same deviation stream the original models would.
+/// The v1 manifest format (no per-artifact length or hash) is retired: a
+/// v1 snapshot is refused up front with a typed error, never half-loaded.
 #[test]
-fn v1_snapshot_migrates_losslessly() {
-    let (models, system) = trained(Parallelism::Off);
-    let mut original = Monitor::new(models.clone(), system.clone(), MonitorConfig::default());
-    let ref_stream = run_windows(&mut original, 0..N_WINDOWS);
+fn v1_manifest_is_refused() {
+    let (models, _) = trained(Parallelism::Off);
+    let dir = temp_store("v1-refused");
+    let store = ModelStore::open(&dir).unwrap();
+    store.save(&SnapshotSpec::new(&models)).unwrap();
 
-    let dir_v1 = temp_store("migrate-v1");
-    let store_v1 = ModelStore::open(&dir_v1).unwrap();
-    let spec = SnapshotSpec {
-        models: &models,
-        system: Some(&system),
-        monitor: Some((&MonitorConfig::default(), Default::default())),
-        health: None,
-        metrics_jsonl: None,
-        include_interner: false,
-    };
-    store_v1.save_v1(&spec).unwrap();
+    // Rewrite the committed manifest in the v1 layout: `artifact|name|file`
+    // lines and no integrity check line.
+    let v2 = fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    let mut v1 = String::from("behaviot-store|v1\n");
+    for line in v2.lines().filter(|l| l.starts_with("artifact|")) {
+        let fields: Vec<&str> = line.split('|').collect();
+        v1.push_str(&format!("artifact|{}|{}\n", fields[1], fields[2]));
+    }
+    fs::write(dir.join("MANIFEST"), v1).unwrap();
 
-    let loaded = store_v1.load().unwrap();
-    assert_eq!(loaded.version, 1, "v1 snapshot must report version 1");
-
-    // Migrate: re-save what was loaded as v2, then run from the migrated
-    // snapshot.
-    let dir_v2 = temp_store("migrate-v2");
-    let store_v2 = ModelStore::open(&dir_v2).unwrap();
-    let migrated_spec = SnapshotSpec {
-        models: &loaded.models,
-        system: loaded.system.as_ref(),
-        monitor: Some((
-            loaded.monitor_cfg.as_ref().unwrap(),
-            loaded.monitor_state.clone().unwrap(),
-        )),
-        health: None,
-        metrics_jsonl: None,
-        include_interner: false,
-    };
-    store_v2.save(&migrated_spec).unwrap();
-
-    let migrated = store_v2.load().unwrap();
-    assert_eq!(migrated.version, behaviot_store::FORMAT_VERSION);
-    let mut replayed = migrated.into_monitor().unwrap();
-    assert_eq!(run_windows(&mut replayed, 0..N_WINDOWS), ref_stream);
-
-    fs::remove_dir_all(&dir_v1).unwrap();
-    fs::remove_dir_all(&dir_v2).unwrap();
+    assert_eq!(
+        store.load().map(|_| ()).unwrap_err(),
+        StoreError::BadVersion(1)
+    );
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 /// `checkpoint` must be O(changed devices): artifacts of devices outside
@@ -472,4 +453,184 @@ fn checkpoint_skips_unchanged_devices() {
     store.load().unwrap();
 
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Run `body` in a child process of this test binary where `test` is the
+/// only test: the store's `artifacts_written` / `artifacts_reused`
+/// counters are process-global, and the other tests here save
+/// concurrently, so a counter delta is only exact in a process of its own.
+fn in_own_process(test: &str, body: impl FnOnce()) {
+    const CHILD: &str = "BEHAVIOT_STORE_REPLAY_CHILD";
+    if std::env::var_os(CHILD).is_some() {
+        body();
+        return;
+    }
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args([test, "--exact", "--nocapture", "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success() && String::from_utf8_lossy(&out.stdout).contains("1 passed"),
+        "child run of {test} failed:\n{}{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// (written, reused) totals of the store's artifact counters.
+fn store_counters() -> (u64, u64) {
+    let m = behaviot_obs::metrics();
+    (
+        m.counter("store.artifacts_written").value(),
+        m.counter("store.artifacts_reused").value(),
+    )
+}
+
+fn monitor_spec<'a>(
+    models: &'a BehavIoT,
+    system: &'a SystemModel,
+    cfg: &'a MonitorConfig,
+) -> SnapshotSpec<'a> {
+    SnapshotSpec {
+        models,
+        system: Some(system),
+        monitor: Some((cfg, Default::default())),
+        health: None,
+        metrics_jsonl: None,
+        include_interner: false,
+    }
+}
+
+/// The checkpoint memo: with *every* device in the changed set but no
+/// model actually changed, repeated checkpoints render and write only the
+/// global artifacts, and the manifest is byte-identical to a fresh save of
+/// the same spec. The memo lives per store instance, so a freshly opened
+/// store renders everything once.
+#[test]
+fn checkpoint_memo_writes_only_globals_for_unchanged_models() {
+    in_own_process(
+        "checkpoint_memo_writes_only_globals_for_unchanged_models",
+        || {
+            let (models, system) = trained(Parallelism::Off);
+            let cfg = MonitorConfig::default();
+            let spec = monitor_spec(&models, &system, &cfg);
+            // periodic.cfg, user.cfg, names, system, monitor.
+            const GLOBALS: u64 = 5;
+            let periodic_devices: std::collections::BTreeSet<Ipv4Addr> =
+                models.periodic.iter().map(|m| m.device).collect();
+            let devices = (periodic_devices.len() + models.user.device_models().len()) as u64;
+            assert_eq!(devices, 2, "fixture needs a periodic and a user artifact");
+            let mut changed: FxHashSet<Symbol> = FxHashSet::default();
+            changed.insert(Symbol::intern_ipv4(DEV));
+
+            let dir = temp_store("memo");
+            let store = ModelStore::open(&dir).unwrap();
+            let before = store_counters();
+            store.checkpoint(&spec, &changed).unwrap();
+            let after_first = store_counters();
+            assert_eq!(
+                after_first.0 - before.0,
+                GLOBALS + devices,
+                "first checkpoint renders all"
+            );
+
+            for _ in 0..3 {
+                store.checkpoint(&spec, &changed).unwrap();
+            }
+            let after = store_counters();
+            assert_eq!(
+                after.0 - after_first.0,
+                3 * GLOBALS,
+                "memo hits must not be written"
+            );
+            assert_eq!(
+                after.1 - after_first.1,
+                3 * devices,
+                "memo hits count as reused"
+            );
+
+            let fresh = temp_store("memo-fresh");
+            ModelStore::open(&fresh).unwrap().save(&spec).unwrap();
+            assert_eq!(
+                fs::read(dir.join("MANIFEST")).unwrap(),
+                fs::read(fresh.join("MANIFEST")).unwrap()
+            );
+
+            // A new handle on the same directory starts with an empty memo.
+            let reopened = ModelStore::open(&dir).unwrap();
+            let before = store_counters();
+            reopened.checkpoint(&spec, &changed).unwrap();
+            assert_eq!(store_counters().0 - before.0, GLOBALS + devices);
+
+            for d in [dir, fresh] {
+                fs::remove_dir_all(&d).unwrap();
+            }
+        },
+    );
+}
+
+/// A device whose models change in memory between two checkpoints is
+/// re-rendered, and the snapshot loads back as the new models.
+#[test]
+fn checkpoint_rerenders_models_changed_in_memory() {
+    let (models, system) = trained(Parallelism::Off);
+    let cfg = MonitorConfig::default();
+    let mut changed: FxHashSet<Symbol> = FxHashSet::default();
+    changed.insert(Symbol::intern_ipv4(DEV));
+
+    let dir = temp_store("memo-change");
+    let store = ModelStore::open(&dir).unwrap();
+    store
+        .checkpoint(&monitor_spec(&models, &system, &cfg), &changed)
+        .unwrap();
+    let old_file = find_artifact_file(&dir, &format!("periodic@{DEV}-"));
+
+    // "Retrain" the device: same groups, every period doubled.
+    let retrained: Vec<PeriodicModel> = models
+        .periodic
+        .iter()
+        .map(|m| {
+            let mut m = m.clone();
+            m.periods.iter_mut().for_each(|p| *p *= 2.0);
+            m
+        })
+        .collect();
+    let mut updated = models.clone();
+    updated.periodic = PeriodicModelSet::from_models(
+        retrained,
+        models.periodic.config().clone(),
+        models.periodic.train_coverage,
+    )
+    .unwrap();
+    let spec = monitor_spec(&updated, &system, &cfg);
+    store.checkpoint(&spec, &changed).unwrap();
+
+    assert!(
+        !old_file.exists(),
+        "the superseded artifact file must be swept"
+    );
+    let loaded = store.load().unwrap();
+    let periods = |set: &PeriodicModelSet| -> Vec<Vec<u64>> {
+        let mut all: Vec<_> = set
+            .iter()
+            .map(|m| (m.destination, m.proto, m.periods.clone()))
+            .collect();
+        all.sort_by_key(|(d, p, _)| (*d, *p));
+        all.into_iter()
+            .map(|(_, _, ps)| ps.iter().map(|p| p.to_bits()).collect())
+            .collect()
+    };
+    assert_eq!(periods(&loaded.models.periodic), periods(&updated.periodic));
+    assert_ne!(periods(&loaded.models.periodic), periods(&models.periodic));
+
+    let fresh = temp_store("memo-change-fresh");
+    ModelStore::open(&fresh).unwrap().save(&spec).unwrap();
+    assert_eq!(
+        fs::read(dir.join("MANIFEST")).unwrap(),
+        fs::read(fresh.join("MANIFEST")).unwrap()
+    );
+    for d in [dir, fresh] {
+        fs::remove_dir_all(&d).unwrap();
+    }
 }
