@@ -261,33 +261,6 @@ impl Standardizer {
             }
         }
     }
-
-    /// Transform one point.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per point; use `transform_into` (scratch) on hot paths"
-    )]
-    pub fn transform(&self, point: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.means.len());
-        self.transform_into(point, &mut out);
-        out
-    }
-
-    /// Transform a batch.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a Vec per row; use `transform_matrix` over a `FeatureMatrix`"
-    )]
-    pub fn transform_all(&self, points: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        points
-            .iter()
-            .map(|p| {
-                let mut out = Vec::with_capacity(self.means.len());
-                self.transform_into(p, &mut out);
-                out
-            })
-            .collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -882,17 +855,6 @@ mod tests {
             assert!(mean.abs() < 1e-9);
             assert!((var - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn standardizer_transform_into_matches_deprecated_transform() {
-        let pts = vec![vec![10.0, 100.0], vec![20.0, 200.0], vec![30.0, 300.0]];
-        let s = Standardizer::fit(&pts).unwrap();
-        let mut scratch = Vec::new();
-        s.transform_into(&[15.0, 150.0], &mut scratch);
-        #[allow(deprecated)]
-        let old = s.transform(&[15.0, 150.0]);
-        assert_eq!(scratch, old);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!    significance thresholds. [`monitor`] runs them over streaming capture
 //!    windows.
 //! 5. **Applications** (§7.2): [`destinations`] reproduces the destination
-//!    party/essentiality analysis; [`profile`] exports MUD-like profiles;
-//!    [`persist`] ships lab-trained models to gateway deployments.
-//! 6. **Extensions** (§7.3 future work): [`unsupervised`] discovers
-//!    pseudo-activities without ground-truth labels;
+//!    party/essentiality analysis; [`profile`] exports MUD-like profiles.
+//!    Lab-trained models ship to gateway deployments through the
+//!    `behaviot-store` crate.
+//! 6. **Extensions** (§7.3 future work):
 //!    [`events::BehavIoT::retrain_periodic`] refreshes periodic models.
 //!
 //! # Quickstart
@@ -70,16 +70,13 @@
 
 pub mod destinations;
 pub mod deviation;
-pub mod diff;
 pub mod event;
 pub mod events;
 pub mod health;
 pub mod monitor;
 pub mod periodic;
-pub mod persist;
 pub mod profile;
 pub mod system;
-pub mod unsupervised;
 pub mod user_action;
 
 pub use event::{DeviceKey, EventKind, InferredEvent};
@@ -88,5 +85,4 @@ pub use health::{HealthConfig, HealthExport, HealthRegistry, HealthState, Health
 pub use monitor::{Deviation, DeviationKind, Monitor, MonitorConfig, MonitorState, WindowIngest};
 pub use periodic::{GroupKey, PeriodicModel, PeriodicModelSet, PeriodicTimers, PeriodicTrainConfig};
 pub use system::{SystemModel, SystemModelConfig};
-pub use unsupervised::{UnsupervisedConfig, UnsupervisedUserModels};
 pub use user_action::{UserActionModels, UserActionTrainConfig};

@@ -1,10 +1,10 @@
-//! Flow assembly and burst splitting.
+//! Flow records and batch flow assembly.
 
 use crate::domain::DomainTable;
-use crate::features::{extract_with, FeatureScratch, FeatureVector, PacketView};
+use crate::features::FeatureVector;
 use crate::packet::GatewayPacket;
-use crate::{is_local, FlowKey};
-use behaviot_intern::{FxHashMap, Symbol};
+use crate::streaming::StreamingAssembler;
+use behaviot_intern::Symbol;
 use behaviot_net::Proto;
 use std::net::Ipv4Addr;
 
@@ -88,40 +88,21 @@ impl FlowRecord {
     }
 }
 
-/// Unordered endpoint pair used to unify both directions of a flow.
-#[derive(PartialEq, Eq, Hash, Clone, Copy)]
-struct Unordered {
-    a: (Ipv4Addr, u16),
-    b: (Ipv4Addr, u16),
-    proto: Proto,
-}
-
-impl Unordered {
-    fn of(p: &GatewayPacket) -> Self {
-        let x = (p.src, p.src_port);
-        let y = (p.dst, p.dst_port);
-        if x <= y {
-            Self {
-                a: x,
-                b: y,
-                proto: p.proto,
-            }
-        } else {
-            Self {
-                a: y,
-                b: x,
-                proto: p.proto,
-            }
-        }
-    }
-}
-
-/// Assemble packets into per-flow bursts with features and domain
+/// Assemble a whole capture into per-flow bursts with features and domain
 /// annotations.
 ///
-/// Packets not involving any local address are dropped (transit noise).
-/// For device-to-device flows, the flow is attributed to the endpoint that
-/// sent the first packet (the initiator).
+/// This is the batch form of [`StreamingAssembler`]: the packets are
+/// stable-sorted by timestamp, pushed through one assembler, and flushed.
+/// Burst semantics are therefore exactly the gateway's:
+///
+/// - packets not involving any local address are dropped (transit noise);
+/// - each burst is attributed to its initiator, the sender of the burst's
+///   first packet if that sender is local, else the local receiver. A
+///   device-to-device flow whose later burst is opened by the other
+///   endpoint is attributed to that endpoint for that burst.
+///
+/// Output order: stable by burst `start`; bursts with equal `start` keep
+/// the order in which the assembler closed them.
 pub fn assemble_flows(
     packets: &[GatewayPacket],
     domains: &DomainTable,
@@ -130,82 +111,12 @@ pub fn assemble_flows(
     let mut span = behaviot_obs::span!("flows.assemble", packets = packets.len());
     let mut sorted: Vec<&GatewayPacket> = packets.iter().collect();
     sorted.sort_by(|a, b| a.ts.total_cmp(&b.ts));
-
-    // Group by unordered 5-tuple, fixing orientation at first sight.
-    let mut flows: FxHashMap<Unordered, (FlowKey, Vec<PacketView>)> = FxHashMap::default();
-    let mut order: Vec<Unordered> = Vec::new();
-    for p in sorted {
-        let src_local = is_local(p.src, cfg.subnet, cfg.prefix_len);
-        let dst_local = is_local(p.dst, cfg.subnet, cfg.prefix_len);
-        if !src_local && !dst_local {
-            continue;
-        }
-        let uk = Unordered::of(p);
-        let entry = flows.entry(uk).or_insert_with(|| {
-            order.push(uk);
-            // Orientation: prefer the local src as the device; if the
-            // sender is remote, the local dst is the device.
-            let key = if src_local {
-                FlowKey {
-                    device: p.src,
-                    remote: p.dst,
-                    device_port: p.src_port,
-                    remote_port: p.dst_port,
-                    proto: p.proto,
-                }
-            } else {
-                FlowKey {
-                    device: p.dst,
-                    remote: p.src,
-                    device_port: p.dst_port,
-                    remote_port: p.src_port,
-                    proto: p.proto,
-                }
-            };
-            (key, Vec::new())
-        });
-        let key = &entry.0;
-        entry.1.push(PacketView {
-            ts: p.ts,
-            bytes: p.bytes,
-            outbound: p.src == key.device && p.src_port == key.device_port,
-            remote_is_local: is_local(key.remote, cfg.subnet, cfg.prefix_len),
-        });
-    }
-
-    // Split each flow into bursts and annotate. One scratch serves every
-    // extraction — this loop runs once per burst over the whole capture.
-    let mut scratch = FeatureScratch::new();
+    let mut assembler = StreamingAssembler::new(cfg.clone());
     let mut out = Vec::new();
-    for uk in order {
-        let (key, pkts) = &flows[&uk];
-        let mut burst_start = 0usize;
-        for i in 1..=pkts.len() {
-            let split = i == pkts.len() || pkts[i].ts - pkts[i - 1].ts > cfg.burst_gap;
-            if !split {
-                continue;
-            }
-            let burst = &pkts[burst_start..i];
-            burst_start = i;
-            if burst.is_empty() {
-                continue;
-            }
-            let features = extract_with(burst, &mut scratch);
-            out.push(FlowRecord {
-                device: key.device,
-                remote: key.remote,
-                device_port: key.device_port,
-                remote_port: key.remote_port,
-                proto: key.proto,
-                domain: domains.resolve(key.remote),
-                start: burst[0].ts,
-                end: burst[burst.len() - 1].ts,
-                n_packets: burst.len(),
-                total_bytes: burst.iter().map(|p| p.bytes as u64).sum(),
-                features,
-            });
-        }
+    for p in sorted {
+        assembler.push_into(p, domains, &mut out);
     }
+    assembler.flush_into(domains, &mut out);
     out.sort_by(|a, b| a.start.total_cmp(&b.start));
     behaviot_obs::metrics()
         .counter("flows.assembled")
@@ -306,6 +217,38 @@ mod tests {
         assert_eq!(flows[0].device, DEV);
         assert_eq!(flows[0].features[14], 2.0); // network_local
         assert_eq!(flows[0].features[13], 0.0); // network_external
+    }
+
+    #[test]
+    fn local_flow_attributed_per_burst() {
+        // The same LAN 5-tuple twice, 10 s apart; the second burst is
+        // opened by the other endpoint and is attributed to it.
+        let pkts = [
+            pkt(0.0, DEV, 5000, DEV2, 80, 100),
+            pkt(0.1, DEV2, 80, DEV, 5000, 300),
+            pkt(10.0, DEV2, 80, DEV, 5000, 200),
+            pkt(10.1, DEV, 5000, DEV2, 80, 60),
+            pkt(10.2, DEV, 5000, DEV2, 80, 60),
+        ];
+        let flows = assemble_flows(&pkts, &DomainTable::new(), &cfg());
+        assert_eq!(flows.len(), 2);
+        assert_eq!((flows[0].device, flows[0].device_port), (DEV, 5000));
+        assert_eq!((flows[1].device, flows[1].device_port), (DEV2, 80));
+        assert_eq!((flows[1].remote, flows[1].remote_port), (DEV, 5000));
+        assert_eq!(flows[1].features[15], 1.0); // out local: DEV2's one packet
+        assert_eq!(flows[1].features[16], 2.0); // in local
+    }
+
+    #[test]
+    fn negative_timestamps_split_like_positive() {
+        let pkts = [
+            pkt(-10.0, DEV, 40000, SRV, 443, 100),
+            pkt(-9.5, DEV, 40000, SRV, 443, 100),
+            pkt(-9.0, DEV, 40000, SRV, 443, 100),
+        ];
+        let flows = assemble_flows(&pkts, &DomainTable::new(), &cfg());
+        assert_eq!(flows.len(), 1);
+        assert_eq!(flows[0].n_packets, 3);
     }
 
     #[test]

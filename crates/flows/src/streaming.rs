@@ -1,11 +1,16 @@
-//! Streaming flow assembly for live gateway deployments.
+//! Flow assembly: the one implementation of flow grouping, orientation and
+//! burst splitting.
 //!
-//! [`assemble_flows`](crate::assemble_flows) is a batch API: it needs the
-//! whole capture in memory. A gateway monitor instead feeds packets as they
-//! arrive and wants completed bursts out as soon as they are known to be
-//! closed (no packet can extend a burst once `now` is more than the burst
-//! gap past its last packet). [`StreamingAssembler`] provides exactly that,
-//! with bounded memory: idle flow state is evicted as bursts close.
+//! [`StreamingAssembler`] takes packets as they arrive and emits completed
+//! bursts as soon as they are known to be closed (no packet can extend a
+//! burst once `now` is more than the burst gap past its last packet), with
+//! bounded memory: idle flow state is evicted as bursts close. A gateway
+//! feeds it live; [`assemble_flows`](crate::assemble_flows) feeds it a
+//! whole capture in timestamp order and flushes, so training and serving
+//! share every burst boundary and every orientation decision.
+//!
+//! Each burst is attributed to its initiator: the sender of the burst's
+//! first packet if that sender is local, else the local receiver.
 //!
 //! The hot path is allocation-free in steady state: [`StreamingAssembler::push_into`]
 //! drains closed bursts into a caller-provided `Vec` (instead of returning
@@ -45,6 +50,8 @@ const POOL_CAP: usize = 64;
 pub struct StreamingAssembler {
     cfg: FlowConfig,
     open: FxHashMap<Unordered, OpenBurst>,
+    /// Eviction clock (high-water mark of observed time). Starts at −∞ so
+    /// a capture stamped before t = 0 is not aged against a phantom 0.
     clock: f64,
     scratch: FeatureScratch,
     /// Recycled packet buffers for new bursts.
@@ -70,7 +77,7 @@ impl StreamingAssembler {
         Self {
             cfg,
             open: FxHashMap::default(),
-            clock: 0.0,
+            clock: f64::NEG_INFINITY,
             scratch: FeatureScratch::new(),
             pool: Vec::new(),
             expired: Vec::new(),
@@ -297,7 +304,6 @@ impl StreamingAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::assemble_flows;
     use behaviot_net::Proto;
 
     const DEV: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
@@ -312,56 +318,6 @@ mod tests {
             dst_port: if out { 443 } else { 40000 },
             proto: Proto::Tcp,
             bytes,
-        }
-    }
-
-    #[test]
-    fn streaming_matches_batch() {
-        // An irregular packet mix over several flows.
-        let mut packets = Vec::new();
-        for i in 0..200 {
-            let t = i as f64 * 0.7;
-            packets.push(pkt(t, i % 2 == 0, 100 + (i * 13 % 900) as u32));
-            if i % 7 == 0 {
-                packets.push(GatewayPacket {
-                    ts: t + 0.1,
-                    src: DEV,
-                    dst: SRV,
-                    src_port: 41000,
-                    dst_port: 443,
-                    proto: Proto::Udp,
-                    bytes: 90,
-                });
-            }
-        }
-        let domains = DomainTable::new();
-        let batch = assemble_flows(&packets, &domains, &FlowConfig::default());
-
-        let mut streaming = StreamingAssembler::new(FlowConfig::default());
-        let mut out = Vec::new();
-        for p in &packets {
-            streaming.push_into(p, &domains, &mut out);
-        }
-        streaming.flush_into(&domains, &mut out);
-        out.sort_by(|a, b| {
-            a.start
-                .partial_cmp(&b.start)
-                .unwrap()
-                .then(a.device_port.cmp(&b.device_port))
-        });
-        let mut batch_sorted = batch.clone();
-        batch_sorted.sort_by(|a, b| {
-            a.start
-                .partial_cmp(&b.start)
-                .unwrap()
-                .then(a.device_port.cmp(&b.device_port))
-        });
-        assert_eq!(out.len(), batch_sorted.len());
-        for (s, b) in out.iter().zip(&batch_sorted) {
-            assert_eq!(s.n_packets, b.n_packets);
-            assert_eq!(s.total_bytes, b.total_bytes);
-            assert_eq!(s.device, b.device);
-            assert_eq!(s.start, b.start);
         }
     }
 

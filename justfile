@@ -83,3 +83,9 @@ test:
 # plus the per-layer self-time budget
 perf workload="serve-daily":
     python3 perfbench/run.py --workload {{workload}} --seed 1 --seconds 20 --trace 1
+
+# Workspace Rust line count: every tracked or new .rs file in the working
+# tree, or every .rs file of commit `rev`. A change's net line delta is
+# `just loc` minus `just loc <parent>`.
+loc rev="":
+    if [ -z "{{rev}}" ]; then git ls-files -z -co --exclude-standard -- '*.rs' | xargs -0 cat | wc -l; else git archive "{{rev}}" | tar -xO --wildcards '*.rs' | wc -l; fi
